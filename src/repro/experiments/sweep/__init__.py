@@ -23,18 +23,20 @@ The subsystem has five layers plus a CLI:
 * :mod:`repro.experiments.sweep.cli` — ``python -m repro.experiments`` to
   run any figure by name with ``--workers`` / ``--backend`` / ``--cache-dir``
   / ``--resume`` / ``--shard``, plus the ``merge-shards`` subcommand.
+
+The distributed layer and the pooled backends are imported on first use,
+so a serial sweep loads neither asyncio nor multiprocessing.
 """
+
+import importlib
 
 from repro.experiments.sweep.backends import (
     BACKEND_NAMES,
-    BACKENDS,
-    BatchBackend,
     ExecutionBackend,
     create_backend,
 )
 from repro.experiments.sweep.cache import ResultCache
 from repro.experiments.sweep.config import RunConfig, add_runner_arguments
-from repro.experiments.sweep.distributed import DistributedBackend, run_worker
 from repro.experiments.sweep.manifest import SweepManifest, grid_digest, payload_digest
 from repro.experiments.sweep.merge import MergeReport, discover_shard_manifests, merge_shards
 from repro.experiments.sweep.pool import (
@@ -49,6 +51,26 @@ from repro.experiments.sweep.shard import (
     lease_partition,
 )
 from repro.experiments.sweep.sweep import Job, SweepSpec, canonicalize
+
+#: Names loaded on first access: the distributed layer brings asyncio and
+#: the HTTP stack, and the pooled backends bring multiprocessing, none of
+#: which a serial run needs.
+_LAZY = {
+    "BACKENDS": "repro.experiments.sweep.backends",
+    "BatchBackend": "repro.experiments.sweep.backends",
+    "DistributedBackend": "repro.experiments.sweep.distributed",
+    "run_worker": "repro.experiments.sweep.distributed",
+}
+
+
+def __getattr__(name: str) -> object:
+    """Import one of the :data:`_LAZY` names on first access."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_LAZY[name]), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "BACKENDS",

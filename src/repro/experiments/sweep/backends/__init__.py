@@ -25,23 +25,37 @@ jobs (fingerprint-derived RNG streams), not in the executor.
 
 from __future__ import annotations
 
+import importlib
 from typing import Dict, Optional, Tuple, Type, Union
 
 from repro.errors import SweepError
 from repro.experiments.sweep.backends.base import ExecutionBackend, ResultCallback
-from repro.experiments.sweep.backends.batch import BatchBackend
-from repro.experiments.sweep.backends.process import ProcessPoolBackend
 from repro.experiments.sweep.backends.serial import SerialBackend
-from repro.experiments.sweep.backends.thread import ThreadPoolBackend
 
-#: Registered backend classes, keyed by their stable names.
-BACKENDS: Dict[str, Type[ExecutionBackend]] = {
-    backend.name: backend
-    for backend in (SerialBackend, ProcessPoolBackend, ThreadPoolBackend, BatchBackend)
+#: Each registered backend's class name; it lives in the submodule named
+#: after the backend.  Only ``serial`` is imported with the package; the
+#: others (and the ``multiprocessing`` and ``concurrent.futures``
+#: machinery behind them) load on first use, so a serial run never pays
+#: for them.
+_BACKEND_CLASSES: Dict[str, str] = {
+    "batch": "BatchBackend",
+    "process": "ProcessPoolBackend",
+    "serial": "SerialBackend",
+    "thread": "ThreadPoolBackend",
 }
 
 #: Backend names in stable (sorted) order, for CLI choices and docs.
-BACKEND_NAMES: Tuple[str, ...] = tuple(sorted(BACKENDS))
+BACKEND_NAMES: Tuple[str, ...] = tuple(sorted(_BACKEND_CLASSES))
+
+
+def _backend_class(name: str) -> Type[ExecutionBackend]:
+    """The backend class registered as ``name``, importing it if needed."""
+    if name not in _BACKEND_CLASSES:
+        raise SweepError(
+            f"unknown execution backend {name!r}; choose from {', '.join(BACKEND_NAMES)}"
+        )
+    module = importlib.import_module(f"{__name__}.{name}")
+    return getattr(module, _BACKEND_CLASSES[name])
 
 
 def create_backend(
@@ -60,16 +74,25 @@ def create_backend(
     if isinstance(spec, ExecutionBackend):
         return spec
     if spec is None:
-        return ProcessPoolBackend() if workers > 1 else SerialBackend()
-    try:
-        cls = BACKENDS[spec]
-    except KeyError:
-        raise SweepError(
-            f"unknown execution backend {spec!r}; choose from {', '.join(BACKEND_NAMES)}"
-        ) from None
-    if cls is BatchBackend:
-        return BatchBackend(jobs_per_lease=jobs_per_lease)
+        spec = "process" if workers > 1 else "serial"
+    cls = _backend_class(spec)
+    if spec == "batch":
+        return cls(jobs_per_lease=jobs_per_lease)  # type: ignore[call-arg]
     return cls()
+
+
+def __getattr__(name: str) -> object:
+    """Import a backend class, or ``BACKENDS`` (all of them), on first access."""
+    if name == "BACKENDS":
+        value: object = {key: _backend_class(key) for key in BACKEND_NAMES}
+    elif name in _BACKEND_CLASSES.values():
+        value = next(
+            _backend_class(key) for key, class_name in _BACKEND_CLASSES.items() if class_name == name
+        )
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
 
 __all__ = [

@@ -26,6 +26,7 @@ import copy
 import hashlib
 import itertools
 import json
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -87,15 +88,14 @@ def canonicalize(value: object) -> object:
         rendered = [canonicalize(item) for item in value]
         rendered.sort(key=lambda item: json.dumps(item, sort_keys=True))
         return {"__set__": rendered}
-    try:  # numpy arrays/scalars (the Q-table stores its values in one)
-        import numpy as np
-
+    # numpy arrays/scalars.  A value can only be one if numpy is loaded,
+    # and fingerprinting must not load it.
+    np = sys.modules.get("numpy")
+    if np is not None:
         if isinstance(value, np.ndarray):
             return {"__ndarray__": canonicalize(value.tolist())}
         if isinstance(value, np.generic):
             return canonicalize(value.item())
-    except ImportError:  # pragma: no cover - numpy is a hard dependency
-        pass
     if callable(value) and hasattr(value, "__qualname__"):
         return {"__callable__": f"{value.__module__}.{value.__qualname__}"}
     state = getattr(value, "__dict__", None)

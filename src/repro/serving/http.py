@@ -10,7 +10,8 @@ table and the serving-specific lifecycle.
 Concurrency model:
 
 * **Decisions, health, stats, reloads** run inline on the event loop —
-  they are sub-millisecond dictionary/numpy work, and running every
+  they are sub-millisecond work over dictionaries and the Q-table's
+  plain-list rows, and running every
   reload check on the loop serialises them against each other and against
   decision handling without any locking.
 * **What-if simulations** are the one genuinely slow request class; they

@@ -1,27 +1,25 @@
 """The simulation-core backend switch (``REPRO_CORE_BACKEND``).
 
-The hot kernels of the simulation core — the Q-table in
-:mod:`repro.core.qtable`, the event loop in :mod:`repro.sim.engine`, and
-the set-associative cache model in :mod:`repro.soc.cache` — ship in two
-implementations:
+Two hot kernels of the simulation core — the event loop in
+:mod:`repro.sim.engine` and the set-associative cache model in
+:mod:`repro.soc.cache` — ship in two implementations:
 
 * ``reference`` — the canonical pure-Python implementations, kept
   deliberately simple and stable.  They define the semantics.
-* ``vectorized`` — the performance implementations: dense-matrix Q-table
-  storage with batched updates, cohort draining of same-timestamp events,
-  and specialised cache range walks.
+* ``vectorized`` — the performance implementations: cohort draining of
+  same-timestamp events and specialised cache range walks.
 
 Both backends are **bit-identical by contract**: the differential-testing
-harness (``tests/test_core_differential.py``) drives generated episodes,
-generated scenarios, and the quick figure grids through both and asserts
-equal payload digests, work counts, and checksums, and ``repro.perf
-compare`` gates every benchmark on exact work counts and checksums.  See
+harness (``tests/test_core_differential.py``) drives generated scenarios
+and the quick figure grids through both and asserts equal payload
+digests, work counts, and checksums, and ``repro.perf compare`` gates
+every benchmark on exact work counts and checksums.  See
 ``docs/performance.md``.
 
-The backend is selected per *object construction* (a ``QTable``, an
-``Engine``, a ``SetAssociativeCache`` each capture the active backend when
-built), so a sweep worker process picks the backend up from its inherited
-environment and an in-process test can flip it with :func:`core_backend`.
+The backend is selected per *object construction* (an ``Engine`` and a
+``SetAssociativeCache`` each capture the active backend when built), so a
+sweep worker process picks the backend up from its inherited environment
+and an in-process test can flip it with :func:`core_backend`.
 """
 
 from __future__ import annotations

@@ -1,20 +1,26 @@
-"""Differential tests: the vectorized core is bit-identical to the reference.
+"""Differential tests: the fast core is bit-identical to its references.
 
-Every test here runs the same experiment under ``REPRO_CORE_BACKEND=
-reference`` and ``=vectorized`` (via ``tests/differential.py``) and
-asserts the observable results are *equal* — Q-tables entry-for-entry and
-serialisation-for-serialisation, engine schedules event-for-event, cache
-contents in recency order, scenario sweeps payload-digest-for-payload-
-digest, and perf benchmarks checksum-for-checksum.  Randomised inputs
-come from hypothesis (episode schedules, engine plans, cache op
-sequences) and from the PR 6 procedural scenario generator, so the
-contract is exercised far outside the committed grids.
+The engine and cache tests run the same experiment under
+``REPRO_CORE_BACKEND=reference`` and ``=vectorized`` (via
+``tests/differential.py``); the Q-table tests run ``QTable`` beside the
+numpy oracle in ``tests/qtable_oracle.py``.  Either way the observable
+results must be *equal* — Q-tables entry-for-entry, serialisation-for-
+serialisation and verdict-for-verdict on corrupt payloads, engine
+schedules event-for-event, cache contents in recency order, scenario
+sweeps payload-digest-for-payload-digest, and perf benchmarks
+checksum-for-checksum.  Randomised inputs come from hypothesis (episode
+schedules, serialised payloads, engine plans, cache op sequences) and
+from the procedural scenario generator, so the contract is exercised far
+outside the committed grids.
 """
 
 from __future__ import annotations
 
+import copy
+import warnings
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from differential import (
@@ -23,6 +29,7 @@ from differential import (
     payload_digest,
     run_on_backends,
 )
+from qtable_oracle import NumpyQTable
 from repro.core.agent import AgentConfig, QLearningAgent
 from repro.core.qtable import QTable
 from repro.core.state import NUM_STATES
@@ -43,7 +50,7 @@ from repro.utils.backend import CORE_BACKENDS
 from repro.utils.rng import SeededRNG
 
 # ----------------------------------------------------------------------
-# Q-table / agent episodes
+# Q-table / agent episodes, against the numpy oracle
 # ----------------------------------------------------------------------
 
 #: One TD update: (state, mode index, reward, alpha).
@@ -56,32 +63,143 @@ update_strategy = st.tuples(
 
 episode_strategy = st.lists(update_strategy, min_size=1, max_size=120)
 
+#: The shipping table and its numpy oracle, compared side by side.
+TABLE_CLASSES = (QTable, NumpyQTable)
 
-def _train_table(episode):
+
+def _train_table(episode, table_cls=QTable):
     """Apply an update episode to a fresh table; return its serialisation."""
-    table = QTable()
+    table = table_cls()
     for state, mode_idx, reward, alpha in episode:
         table.update(state, COHERENCE_MODES[mode_idx], reward, alpha)
     return table.to_dict()
 
 
+def assert_tables_agree(fn):
+    """Run ``fn(table_cls)`` for the table and the oracle; assert equal results.
+
+    Results are compared by ``repr``, which tells ``-0.0`` from ``0.0``
+    and ``1`` from ``1.0`` where ``==`` would not.
+    """
+    results = [fn(table_cls) for table_cls in TABLE_CLASSES]
+    assert repr(results[0]) == repr(results[1]), "QTable diverged from the numpy oracle"
+    return results[0]
+
+
+#: Scalars a hand-edited or corrupt payload may hold where a number belongs.
+ODD_SCALARS = (
+    None, float("nan"), float("inf"), float("-inf"), "abc", "", "1_0", " 2.5 ",
+    "nan", "1e999", {}, [], 2**63, 2**64 - 1, 2**64, 2**70, -(2**63),
+    -(2**63) - 1, 10**400,
+)
+
+clean_values = st.floats(allow_nan=False, allow_infinity=False)
+clean_counts = st.integers(min_value=0, max_value=50)
+
+#: Kinds of element a ``values`` matrix may hold, valid or not.
+value_kinds = (
+    clean_values,
+    st.integers(min_value=-5, max_value=5),
+    st.booleans(),
+    st.floats().map(repr),
+    st.sampled_from(ODD_SCALARS),
+)
+
+#: Kinds of element an ``updates`` matrix may hold, valid or not.
+count_kinds = (
+    clean_counts,
+    st.integers(min_value=-3, max_value=-1),
+    st.floats(min_value=-4.0, max_value=4.0).map(lambda x: round(x * 2) / 2),
+    st.sampled_from((1e18, 1e30, 2.0**63, -(2.0**63), -1e19, float("nan"), float("inf"))),
+    st.integers(min_value=2**62, max_value=2**65),
+    st.booleans(),
+    st.integers(min_value=0, max_value=9).map(str),
+    st.sampled_from(ODD_SCALARS),
+)
+
+
+def _exact(rows, leaves):
+    return st.lists(st.lists(leaves, min_size=4, max_size=4), min_size=rows, max_size=rows)
+
+
+def _matrices(rows, kinds):
+    """``rows`` x 4 matrices of one kind or mixed kinds; misshapen, ragged, nested."""
+    mixed = st.one_of(*kinds)
+    return st.one_of(
+        st.sampled_from(kinds).flatmap(lambda leaves: _exact(rows, leaves)),
+        _exact(rows, mixed),
+        st.lists(st.one_of(st.lists(mixed, min_size=3, max_size=5), mixed), max_size=4),
+        st.recursive(mixed, lambda children: st.lists(children, max_size=4), max_leaves=10),
+    )
+
+
+@st.composite
+def serialised_payloads(draw):
+    """A ``QTable.to_dict``-shaped payload, clean or with one field corrupted."""
+    rows = draw(st.integers(min_value=1, max_value=3))
+    payload = {
+        "num_states": rows,
+        "values": draw(_exact(rows, clean_values)),
+        "updates": draw(_exact(rows, clean_counts)),
+    }
+    corrupt = draw(st.sampled_from(("nothing", "missing", "num_states", "values", "updates")))
+    if corrupt == "missing":
+        del payload[draw(st.sampled_from(sorted(payload)))]
+    elif corrupt == "num_states":
+        payload["num_states"] = draw(
+            st.one_of(
+                st.integers(min_value=-1, max_value=4),
+                st.booleans(),
+                st.sampled_from(
+                    (str(rows), f" {rows} ", "2.5", "many", None, rows + 0.7,
+                     float("nan"), float("inf"), [], {})
+                ),
+            )
+        )
+    elif corrupt == "values":
+        payload["values"] = draw(_matrices(rows, value_kinds))
+    elif corrupt == "updates":
+        payload["updates"] = draw(_matrices(rows, count_kinds))
+    return payload
+
+
+def _nested(depth):
+    """A scalar wrapped in ``depth`` single-item lists."""
+    item = 1.0
+    for _ in range(depth):
+        item = [item]
+    return item
+
+
+def _from_dict_outcome(table_cls, payload):
+    """What ``table_cls.from_dict(payload)`` does: the table it restores, or its error."""
+    try:
+        with warnings.catch_warnings():
+            # The oracle's int64 casts of out-of-range counts warn.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            table = table_cls.from_dict(copy.deepcopy(payload))
+    except Exception as exc:  # noqa: BLE001 - the error itself is the outcome
+        return ("rejected", type(exc).__name__, str(exc))
+    return ("accepted", repr(table.to_dict()), table.visited_states())
+
+
 class TestQTableDifferential:
-    """Training episodes produce identical tables on both backends."""
+    """Training episodes produce identical tables in ``QTable`` and the oracle."""
 
     @given(episode=episode_strategy)
     @settings(max_examples=60, deadline=None)
     def test_update_episode_serialises_identically(self, episode):
-        assert_backends_agree(lambda: _train_table(episode))
+        assert_tables_agree(lambda table_cls: _train_table(episode, table_cls))
 
     @given(episode=episode_strategy)
     @settings(max_examples=60, deadline=None)
     def test_batched_updates_match_per_step(self, episode):
-        # Satellite contract: update_batch replays the exact per-step
-        # recurrence in arrival order on EVERY backend — a reordered or
-        # algebraically folded batch would change float rounding and fail.
-        def batched_equals_stepped():
-            stepped = _train_table(episode)
-            table = QTable()
+        # update_batch replays the exact per-step recurrence in arrival
+        # order — a reordered or algebraically folded batch would change
+        # float rounding and fail.
+        def batched_equals_stepped(table_cls):
+            stepped = _train_table(episode, table_cls)
+            table = table_cls()
             table.update_batch(
                 [state for state, _, _, _ in episode],
                 [COHERENCE_MODES[mode_idx] for _, mode_idx, _, _ in episode],
@@ -91,23 +209,36 @@ class TestQTableDifferential:
             assert table.to_dict() == stepped
             return stepped
 
-        assert_backends_agree(batched_equals_stepped)
+        assert_tables_agree(batched_equals_stepped)
 
     @given(episode=episode_strategy)
     @settings(max_examples=60, deadline=None)
     def test_greedy_decisions_and_tie_draws_agree(self, episode):
         # The tie rule consumes RNG draws, so agreement must cover both the
         # chosen modes and the exact post-decision RNG state.
-        def decide_everywhere():
-            table = QTable.from_dict(_train_table(episode))
+        def decide_everywhere(table_cls):
+            table = table_cls.from_dict(_train_table(episode, table_cls))
             rng = SeededRNG(11)
             choices = [table.best_mode(state, rng=rng).label for state in range(NUM_STATES)]
+            subset = COHERENCE_MODES[1:3]
+            restricted = [
+                table.best_mode(state, allowed=subset, rng=rng).label
+                for state in range(NUM_STATES)
+            ]
             batch = [mode.label for mode in table.best_modes(list(range(NUM_STATES)))]
             deterministic = [table.best_mode(state).label for state in range(NUM_STATES)]
             assert batch == deterministic
-            return {"choices": choices, "batch": batch, "rng": rng.export_state()}
+            return {
+                "choices": choices,
+                "restricted": restricted,
+                "batch": batch,
+                "rng": rng.export_state(),
+                "values": table.values.tolist(),
+                "counts": table.update_counts().tolist(),
+                "visited": table.visited_states(),
+            }
 
-        assert_backends_agree(decide_everywhere)
+        assert_tables_agree(decide_everywhere)
 
     @given(
         episode=st.lists(
@@ -127,20 +258,41 @@ class TestQTableDifferential:
     def test_agent_episode_with_exploration_agrees(self, episode, seed):
         # Full epsilon-greedy loop: exploration draws, tie draws, decayed
         # updates — the exact path CohmeleonPolicy drives in a simulation.
-        def run_agent():
-            agent = QLearningAgent(AgentConfig(), rng=SeededRNG(seed))
+        def run_agent(table_cls):
+            agent = QLearningAgent(AgentConfig(), rng=SeededRNG(seed), qtable=table_cls())
             total = len(episode)
             for step, (state, reward) in enumerate(episode):
                 agent.set_training_progress(step / total)
                 mode = agent.select_action(state)
                 agent.update(state, mode, reward)
-            return {
-                "table": agent.qtable.to_dict(),
-                "summary": agent.summary(),
-                "rng": agent.rng.export_state(),
-            }
+            return payload_digest(
+                {
+                    "table": agent.qtable.to_dict(),
+                    "summary": agent.summary(),
+                    "rng": agent.rng.export_state(),
+                }
+            )
 
-        assert_backends_agree(run_agent, digest=True)
+        assert_tables_agree(run_agent)
+
+    @given(payload=serialised_payloads())
+    @settings(max_examples=500, deadline=None)
+    @example(payload={"num_states": 1, "values": _nested(70), "updates": [[0] * 4]})
+    @example(payload={"num_states": 1, "values": [[0.5] * 4], "updates": [[2**63, 0, 0, 0]]})
+    @example(payload={"num_states": 1, "values": [[0.5] * 4], "updates": [[-(2**63), 0, 0, 1.0]]})
+    @example(payload={"num_states": 1, "values": [["1_0", " 2 ", True, 3]], "updates": [[True, 2, 0, 1]]})
+    @example(payload={"num_states": 1, "values": [[1.0] * 4], "updates": [[2**60 + 1, 0.0, 0, 0]]})
+    @example(payload={"num_states": 1, "values": [[1.0] * 4], "updates": [[-1, 0, 0, 0]]})
+    @example(payload={"num_states": 1, "values": [[1.0] * 4], "updates": [[True, False, True, True]]})
+    @example(payload={"num_states": 1, "values": [[1.0] * 4], "updates": [[1e30, 0.0, 0, 0]]})
+    @example(payload={"num_states": 2, "values": [[1.0] * 4, [1.0] * 3], "updates": [[0] * 4] * 2})
+    @example(payload={"num_states": 2, "values": [[1.0] * 4] * 2, "updates": [[0] * 4, [[0]] * 4]})
+    @example(payload={"num_states": 1, "values": [[1.0] * 4], "updates": [[float("inf"), 0, 0, 0]]})
+    def test_from_dict_corpus_agrees(self, payload):
+        # Serialised payloads well inside and far outside the format: both
+        # from_dicts must accept or reject alike, with the same message,
+        # and restore the same table.
+        assert _from_dict_outcome(QTable, payload) == _from_dict_outcome(NumpyQTable, payload)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Unit tests for the Q-table, the agent, and the coherence policies.
 
 The whole module runs once per core backend (reference and vectorized,
-see the autouse fixture below), so every invariant here is asserted
-against both implementations of the Q-learning core.
+see the autouse fixture below), so the policies' simulations are checked
+on both engine and cache implementations.  The Q-table itself has one
+implementation; ``tests/test_core_differential.py`` checks it against
+the numpy oracle in ``tests/qtable_oracle.py``.
 """
 
 from __future__ import annotations
@@ -176,7 +178,7 @@ class TestQTable:
         # Near-tie below the old threshold: 5e-13 beats 0.0, but the old
         # `best - 1e-12` cutoff called them tied, consumed an RNG draw, and
         # could return the strictly worse mode.  (alpha=1.0 sets the entry
-        # to exactly the reward, on every backend.)
+        # to exactly the reward.)
         table.update(0, COHERENCE_MODES[0], 5e-13, 1.0)
         rng = SeededRNG(0)
         before = rng.state()
@@ -207,9 +209,8 @@ class TestQTable:
         the update rule is a sequential recurrence, so any reordering or
         algebraic regrouping (e.g. folding a batch into a cumulative
         product) changes IEEE-754 rounding and moves these digests.  The
-        module-level backend matrix asserts the same digests for the
-        reference and vectorized tables; ``update_batch`` must land on the
-        identical table as the per-step replay.
+        ``update_batch`` must land on the identical table as the per-step
+        replay.
         """
         import hashlib
         import json
